@@ -46,7 +46,8 @@ def _make_specs() -> dict[str, BackendSpec]:
             default_algorithm="1R1W-SKSS-LB"),
         "parallel": BackendSpec(
             name="parallel",
-            summary="fork/join banded 2R2W scan (plain cumsums)",
+            summary="native one-pass 1R1W kernel (plain double-scan "
+                    "association; NumPy fallback without a C compiler)",
             algorithms=None, dtypes=None, bit_identical=False,
             kind="host", engine=True, algorithm_agnostic=True),
         "compiled": BackendSpec(

@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=_host_engines(),
                      help="host execution engine (implies --host when not "
                           "'serial'): serial tile loop, multi-core wavefront "
-                          "tile engine, fork/join banded 2R2W scan, "
+                          "tile engine, one-pass native 1R1W kernel, "
                           "Numba-compiled flat tile kernels (falls back to "
                           "wavefront when numba is not installed), or the "
                           "sharded distributed executor (band shards on a "

@@ -72,9 +72,9 @@ def get_algorithm(name: str, **params: Any) -> SATAlgorithm:
 #: Host execution engines accepted by :func:`compute_sat` / the CLI.
 #: ``serial`` runs each algorithm's own tile loop, ``wavefront`` the
 #: dependency-driven multi-core engine (:mod:`repro.hostexec`; tile-based
-#: algorithms only, bit-identical results), ``parallel`` the fork/join banded
-#: 2R2W scan (:func:`repro.sat.parallel_host.parallel_sat`; any algorithm —
-#: it computes the same SAT by plain double prefix sums), ``compiled`` the
+#: algorithms only, bit-identical results), ``parallel`` the native one-pass
+#: 1R1W kernel (:func:`repro.sat.parallel_host.parallel_sat`; any algorithm —
+#: it computes the plain double-prefix-sum SAT, bit for bit), ``compiled`` the
 #: Numba-jitted flat tile kernels (:mod:`repro.hostexec.compiled`; any
 #: algorithm, bit-identical, degrades to wavefront/serial without Numba).
 #: Derived from the unified backend registry (:mod:`repro.backend.registry`
@@ -150,8 +150,8 @@ def compute_sat(a: np.ndarray, *, algorithm: str = "1R1W-SKSS-LB",
         When ``False``, run the dataflow-equivalent host path instead of the
         simulator (no traffic report; much faster for large matrices).
     engine:
-        Host executor for the non-simulated path (implies ``simulate=False``):
-        one of :data:`HOST_ENGINES` or a
+        Host executor for the non-simulated path; any ``engine``, ``"serial"``
+        included, implies ``simulate=False``.  One of :data:`HOST_ENGINES` or a
         :class:`~repro.hostexec.WavefrontEngine` /
         :class:`~repro.hostexec.CompiledEngine` instance.
     workers:
@@ -200,7 +200,7 @@ def compute_sat(a: np.ndarray, *, algorithm: str = "1R1W-SKSS-LB",
             "shards is only meaningful for the distributed engine "
             "(pass engine='distributed')")
     alg = get_algorithm(algorithm, tile_width=tile_width, **params)
-    if engine is not None and engine != "serial":
+    if engine is not None:
         if gpu is not None:
             raise ConfigurationError(
                 "a host engine and a simulator GPU are mutually exclusive")

@@ -61,6 +61,11 @@ class TestComputeSat:
         with pytest.raises(ConfigurationError, match="exclusive"):
             compute_sat(matrix(96), engine="wavefront", gpu=GPU())
 
+    def test_serial_engine_never_simulates(self):
+        result = compute_sat(matrix(64), engine="serial")
+        assert result.report is None
+        assert result.params["engine"] == "serial"
+
     def test_serial_engine_matches_default_host(self):
         a = matrix(96)
         viaengine = compute_sat(a, engine="serial", simulate=False)

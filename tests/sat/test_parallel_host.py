@@ -1,4 +1,4 @@
-"""CPU-parallel host SAT (fork/join band decomposition)."""
+"""The parallel host SAT (the one-pass native kernel) and its engine handle."""
 
 import numpy as np
 import pytest
@@ -61,7 +61,6 @@ class TestEngine:
                 assert np.array_equal(engine.compute(a), sat_reference(a))
 
     def test_shape_change_reallocates(self, rng):
-        # Integer-valued data: band-wise summation order must still be exact.
         with ParallelSATEngine(workers=2) as engine:
             a = rng.integers(-9, 9, size=(20, 30)).astype(float)
             b = rng.integers(-9, 9, size=(30, 20)).astype(float)

@@ -4,8 +4,8 @@
 Prints a measured mini-Table I — kernel launches, peak threads, global
 reads/writes per element, spins, fences — plus the emergent simulator cycles,
 for a 256x256 matrix at W=32.  A second table times the host execution
-engines (serial tile loop, multi-core wavefront, fork/join 2R2W) on a larger
-matrix.
+engines (serial tile loop, multi-core wavefront, one-pass native 1R1W kernel)
+on a larger matrix.
 """
 
 import time
@@ -70,7 +70,8 @@ def compare_host_engines(n: int = 1024) -> None:
     print("\n * serial runs the algorithm's own tile loop;")
     print(" * wavefront dispatches anti-diagonal tile chunks to a pool")
     print("   (bit-identical to serial);")
-    print(" * parallel is the banded fork/join 2R2W scan (plain cumsums).")
+    print(" * parallel is the one-pass native 1R1W kernel (bits of the")
+    print("   plain double cumsum).")
 
 
 if __name__ == "__main__":

@@ -69,8 +69,8 @@ class BackendSpec:
     whose ``execute_with_carries`` returns a typed
     :class:`~repro.backend.carries.CarrySet`.  ``algorithm_agnostic`` marks
     backends that compute the same SAT regardless of ``algorithm=`` (the
-    banded parallel scan) — the differential layer compares them against the
-    plain reference instead of a per-algorithm oracle.
+    one-pass parallel kernel) — the differential layer compares them
+    against the plain reference instead of a per-algorithm oracle.
     """
 
     name: str

@@ -29,7 +29,9 @@ reused across calls and engines.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -175,3 +177,27 @@ def build_plan(grid: TileGrid, deps: tuple[tuple[int, int], ...],
     return WavefrontPlan(grid=grid, deps=tuple(deps), workers=workers,
                          chunks=tuple(finished), chunk_id=chunk_id,
                          deps_init=deps_init, pending_init=pending_init)
+
+
+#: How many geometries an engine keeps plans and carry planes for, and how
+#: many worker counts keep a shared engine.  Older entries are dropped, so a
+#: caller cycling through frame sizes or worker counts does not grow memory.
+CACHE_ENTRIES = 4
+
+
+class LRUCache(OrderedDict):
+    """A mapping that keeps only its ``maxsize`` most recently used entries."""
+
+    def __init__(self, maxsize: int = CACHE_ENTRIES) -> None:
+        super().__init__()
+        self.maxsize = maxsize
+
+    def get_or_build(self, key, build: Callable[[], Any]):
+        """The entry for ``key``, made by ``build()`` when it is absent."""
+        if key in self:
+            self.move_to_end(key)
+            return self[key]
+        value = self[key] = build()
+        if len(self) > self.maxsize:
+            self.popitem(last=False)
+        return value

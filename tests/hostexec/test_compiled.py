@@ -14,6 +14,7 @@ import pytest
 from repro import ALGORITHMS, sat_reference
 from repro.errors import ConfigurationError
 from repro.hostexec import compiled as compiled_mod
+from repro.hostexec.plan import CACHE_ENTRIES
 from repro.hostexec.compiled import (FLAT_KERNELS, NON_TILE_ALGORITHMS,
                                      CompiledEngine, _canonical_algorithm,
                                      _flat_double_scan, _pairwise,
@@ -139,6 +140,15 @@ class TestComputeSemantics:
         assert np.array_equal(first, second)
         assert len(pure_engine._carries) == n_carries
         assert len(pure_engine._diags) == n_diags
+
+
+    def test_carry_and_diagonal_caches_stay_bounded(self, pure_engine):
+        for k in range(1, CACHE_ENTRIES + 3):
+            a = _matrix((8 * k, 8), "int32", seed=k)
+            got = pure_engine.compute(a, algorithm="2R1W", tile_width=8)
+            assert np.array_equal(got, sat_reference(a))
+            assert len(pure_engine._carries) <= CACHE_ENTRIES
+            assert len(pure_engine._diags) <= CACHE_ENTRIES
 
 
 class TestFlatKernelRegistry:

@@ -101,15 +101,17 @@ def bench_size(n: int, workers_list: list[int], repeats: int) -> dict:
 def bench_native(n: int, repeats: int) -> dict:
     """The native one-pass kernel against a memcpy of the same matrix.
 
-    ``pass_s`` is the kernel writing into a preallocated buffer, the same
-    one-read-one-write traffic as ``copy_s`` (``np.copyto`` of the input
-    into a preallocated buffer of its dtype).  ``parallel_sat_s`` is the
-    whole call: the output allocation, and for uint8 the cast to the int64
-    accumulator the pass then runs on in place.
+    ``pass_s`` is the kernel reading the input and writing the SAT into a
+    preallocated buffer; ``copy_s`` is ``np.copyto`` of the input into a
+    preallocated buffer of its dtype.  For float32 the two move the same
+    bytes; for uint8 the pass reads the 1-byte input and writes the 8-byte
+    int64 SAT, so it moves 4.5x the bytes of the copy.
+    ``parallel_sat_s`` is the whole call, output allocation included.
     """
     kernel = native.kernel()
     rng = np.random.default_rng(2018)
-    row = {"n": n, "kernel": kernel.path if kernel else None,
+    row = {"n": n,
+           "kernel": os.path.basename(kernel.path) if kernel else None,
            "cflags": list(native.CFLAGS), "dtypes": {}}
     inputs = {"float32": rng.random((n, n), dtype=np.float32),
               "uint8": rng.integers(0, 256, size=(n, n), dtype=np.uint8)}
@@ -122,8 +124,8 @@ def bench_native(n: int, repeats: int) -> dict:
         copy = _best(lambda: np.copyto(dst, a), repeats)
         entry = {"acc_dtype": acc.name, "copy_s": copy,
                  "parallel_sat_s": _best(lambda: parallel_sat(a), repeats)}
-        if kernel is not None and a.dtype == acc:
-            out = np.empty_like(a)
+        if kernel is not None and (a.dtype, acc) in native.PAIRS:
+            out = np.empty(a.shape, dtype=acc)
             entry["pass_s"] = _best(lambda: kernel.sat(a, out), repeats)
             entry["pass_over_copy"] = entry["pass_s"] / copy
         entry["parallel_sat_over_copy"] = entry["parallel_sat_s"] / copy

@@ -5,6 +5,15 @@ any ``(2r+1)²`` window is four lookups, independent of the radius.  Windows
 are clamped at the image borders (each pixel is averaged over the part of its
 window that lies inside the image), so the filter is exactly a normalized
 box convolution with border truncation.
+
+All windows are computed at once from one edge-padded copy ``Q`` of the SAT
+``S``: ``r+1`` rows and columns of zeros before it and its last row and
+column replicated ``r`` times after it.  With ``n = 2r+1`` the clamped
+window sums are then the slice arithmetic
+``Q[n:, n:] - Q[:rows, n:] - Q[n:, :cols] + Q[:rows, :cols]``, the corner
+term added only where a window's top and left edges lie inside the image.
+The window areas are the outer product of the clamped window heights and
+widths.
 """
 
 from __future__ import annotations
@@ -16,46 +25,49 @@ from repro.sat.reference import sat_reference
 from repro.sat.registry import compute_sat, host_sat
 
 
-def _window_bounds(n_rows: int, n_cols: int, radius: int):
-    ii = np.arange(n_rows)[:, None]
-    jj = np.arange(n_cols)[None, :]
-    top = np.maximum(ii - radius, 0)
-    bottom = np.minimum(ii + radius, n_rows - 1)
-    left = np.maximum(jj - radius, 0)
-    right = np.minimum(jj + radius, n_cols - 1)
-    return (np.broadcast_to(top, (n_rows, n_cols)),
-            np.broadcast_to(bottom, (n_rows, n_cols)),
-            np.broadcast_to(left, (n_rows, n_cols)),
-            np.broadcast_to(right, (n_rows, n_cols)))
-
-
 def window_sums_from_sat(sat: np.ndarray, radius: int) -> np.ndarray:
     """Clamped-window sums for every pixel, from a prebuilt SAT (vectorised).
 
     The sums come back in the SAT's own dtype (widened to at least ``int64``
     for integer SATs), so integer pixel data stays exact until a caller
-    divides.
+    divides.  They are four shifted slices of one edge-padded copy of the
+    SAT, so the pass reads contiguous rows and gathers nothing.
     """
     if radius < 0:
         raise ConfigurationError("box-filter radius must be non-negative")
     rows, cols = sat.shape
-    top, bottom, left, right = _window_bounds(rows, cols, radius)
     acc = (np.result_type(sat.dtype, np.int64)
            if np.issubdtype(sat.dtype, np.integer) else sat.dtype)
-    total = sat[bottom, right].astype(acc, copy=True)
-    m = top > 0
-    total[m] -= sat[top[m] - 1, right[m]]
-    m = left > 0
-    total[m] -= sat[bottom[m], left[m] - 1]
-    m = (top > 0) & (left > 0)
-    total[m] += sat[top[m] - 1, left[m] - 1]
+    if sat.size == 0:
+        return np.empty((rows, cols), dtype=acc)
+    # A radius past the edge clamps every window to the whole axis, so
+    # min(radius, axis length) gives the same windows with less padding.
+    rr, rc = min(radius, rows), min(radius, cols)
+    # Q[p, q] = S[p - rr - 1, q - rc - 1], zero above or left of S and
+    # replicating S's last row and column below and right of it.
+    Q = np.zeros((rows + 2 * rr + 1, cols + 2 * rc + 1), dtype=acc)
+    Q[rr + 1:rr + 1 + rows, rc + 1:rc + 1 + cols] = sat
+    Q[rr + 1 + rows:, rc + 1:rc + 1 + cols] = sat[-1]
+    Q[rr + 1:, rc + 1 + cols:] = Q[rr + 1:, rc + cols:rc + cols + 1]
+    nr, nc = 2 * rr + 1, 2 * rc + 1
+    total = Q[nr:, nc:] - Q[:rows, nc:]
+    total -= Q[nr:, :cols]
+    # The corner term only where the window's top and left are both inside
+    # the image: adding a zero corner would turn a -0.0 sum into +0.0.
+    total[rr + 1:, rc + 1:] += Q[rr + 1:rows, rc + 1:cols]
     return total
+
+
+def _window_extents(n: int, radius: int) -> np.ndarray:
+    """Clamped window length along one axis of length ``n``."""
+    i = np.arange(n)
+    return np.minimum(i + radius, n - 1) - np.maximum(i - radius, 0) + 1
 
 
 def window_areas(rows: int, cols: int, radius: int) -> np.ndarray:
     """Number of in-image pixels in each clamped window."""
-    top, bottom, left, right = _window_bounds(rows, cols, radius)
-    return ((bottom - top + 1) * (right - left + 1)).astype(np.float64)
+    return np.multiply.outer(_window_extents(rows, radius).astype(np.float64),
+                             _window_extents(cols, radius).astype(np.float64))
 
 
 def box_filter(image: np.ndarray, radius: int, *,

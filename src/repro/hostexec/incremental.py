@@ -22,11 +22,13 @@ rectangle writes (:meth:`IncrementalSAT.update`), tile writes
     The SAT is linear in its input, so ``SAT(a + d) = SAT(a) + SAT(d)`` —
     and in a fixed-width integer dtype this identity is *exact* (including
     wrap-around: addition mod 2^k is a commutative ring, so the repaired
-    table is bit-identical to a from-scratch recomputation).  ``SAT(d)`` of a
-    ``h x w`` dirty rectangle is one small double cumsum plus three
-    broadcast adds over the down-right quadrant, and the carry planes take
-    the matching row/column/corner prefix deltas.  Cost: one pass over the
-    quadrant instead of the full tile algebra over the whole matrix.
+    table is bit-identical to a from-scratch recomputation).  ``SAT(d)`` of
+    a ``h x w`` dirty rectangle is one pass of the native kernel
+    (:func:`repro.hostexec.native.sat_into`), added to the committed table
+    with three broadcast adds over the down-right quadrant; every
+    carry-plane delta is a sample of that same ``SAT(d)`` at the tile
+    edges and corners.  Cost: one pass over the quadrant instead of the
+    full tile algebra over the whole matrix.
 
 ``recompute`` (float accumulators, or forced)
     Floating-point addition does not associate, so delta repair would change
@@ -53,6 +55,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.hostexec import native
 from repro.hostexec.engine import RetainedState, WavefrontEngine
 from repro.hostexec.kernels import kernel_for
 from repro.hostexec.plan import DEPS_LEFT_UP, Chunk
@@ -355,8 +358,8 @@ class IncrementalSAT:
         if nz_rows.size == 0:
             self._record(0, 0, self._strategy)
             return self.sat
-        nz_cols = np.flatnonzero(d.any(axis=0))
         r0, r1 = int(nz_rows[0]), int(nz_rows[-1])
+        nz_cols = np.flatnonzero(d[r0:r1 + 1].any(axis=0))
         c0, c1 = int(nz_cols[0]), int(nz_cols[-1])
         if self._strategy == "delta":
             self._repair_rect(r0, c0, d[r0:r1 + 1, c0:c1 + 1])
@@ -412,10 +415,18 @@ class IncrementalSAT:
         """Exact additive repair (integer accumulators only).
 
         ``d`` is the not-yet-applied delta of the rectangle at ``(r0, c0)``.
-        ``SAT(a + d) - SAT(a) = SAT(d)`` is constant along rows right of the
-        rectangle and along columns below it, so the committed table takes
-        one small double cumsum plus three broadcast adds, and each carry
-        plane takes the matching prefix deltas on its dirty strips.
+        ``A = SAT(d)`` takes one native pass
+        (:func:`repro.hostexec.native.sat_into`).  ``SAT(a + d) - SAT(a)``
+        is ``A`` on the rectangle and constant along rows right of it and
+        along columns below it, so the committed table takes ``A`` plus
+        three broadcast adds.  Every
+        carry-plane delta is a sample of the same ``A``, clipped into the
+        rectangle: GRS takes row differences of ``A`` at each tile's
+        right-edge column, GCS column differences at each tile's bottom-edge
+        row, GS the values at the tile corners (the 2-D prefix of the
+        per-tile totals) and 2R1W's column chain the column differences of
+        those corner values.  All of it is integer ring arithmetic, exact
+        under wraparound.
         """
         state = self._required_state()
         grid, W = state.grid, state.grid.W
@@ -425,27 +436,30 @@ class IncrementalSAT:
         work[r0:r1 + 1, c0:c1 + 1] += d
 
         # Committed SAT: the quadrant update.
-        A = d.cumsum(axis=0).cumsum(axis=1)
+        A = native.sat_into(np.ascontiguousarray(d),
+                            np.empty((h, w), dtype=work.dtype))
         out[r0:r1 + 1, c0:c1 + 1] += A
         out[r0:r1 + 1, c1 + 1:] += A[:, -1:]
         out[r1 + 1:, c0:c1 + 1] += A[-1:, :]
         out[r1 + 1:, c1 + 1:] += A[-1, -1]
 
-        # Tile-aligned embedding of the delta for the carry-plane prefixes.
+        # Dirty tile span, and A's row (column) at each of its tiles'
+        # bottom (right) edges, clipped into the rectangle.
         I0, I1 = r0 // W, r1 // W
         J0, J1 = c0 // W, c1 // W
         tI, tJ = I1 - I0 + 1, J1 - J0 + 1
-        P = np.zeros((tI * W, tJ * W), dtype=work.dtype)
-        P[r0 - I0 * W:r0 - I0 * W + h, c0 - J0 * W:c0 - J0 * W + w] = d
+        edge_rows = np.minimum(np.arange(I0 + 1, I1 + 2) * W - 1, r1) - r0
+        edge_cols = np.minimum(np.arange(J0 + 1, J1 + 2) * W - 1, c1) - c0
         # Per-row prefixes at each tile's right edge -> GRS deltas.
-        dgrs = P.cumsum(axis=1)[:, W - 1::W].reshape(tI, W, tJ) \
-            .transpose(0, 2, 1)                       # (tI, tJ, W)
+        dgrs = np.zeros((tI * W, tJ), dtype=work.dtype)
+        at_cols = A[:, edge_cols]
+        band = dgrs[r0 - I0 * W:r0 - I0 * W + h]
+        band[...] = at_cols
+        band[1:] -= at_cols[:-1]
+        dgrs = dgrs.reshape(tI, W, tJ).transpose(0, 2, 1)   # (tI, tJ, W)
         grs = carry.vec_row
         grs[I0:I1 + 1, J0:J1 + 1] += dgrs
         grs[I0:I1 + 1, J1 + 1:] += dgrs[:, -1][:, None, :]
-        # Per-tile delta totals -> GS (and 2R1W column-chain) deltas.
-        ts = P.reshape(tI, W, tJ, W).sum(axis=(1, 3))
-        cs = ts.cumsum(axis=0).cumsum(axis=1)
         if self._spec.deps == DEPS_LEFT_UP:
             # 1R1W-SKSS: vec_col holds GCP — the bottom row of each tile's
             # GSAT, which the quadrant update above just repaired; refresh it
@@ -453,17 +467,27 @@ class IncrementalSAT:
             out4 = state.out4
             carry.vec_col[I0:, J0:] = out4[I0:, W - 1, J0:, :]
         else:
-            dgcs = P.cumsum(axis=0)[W - 1::W, :].reshape(tI, tJ, W)
+            # Per-column prefixes at each tile's bottom edge -> GCS deltas.
+            at_rows = A[edge_rows]
+            dgcs = np.zeros((tI, tJ * W), dtype=work.dtype)
+            band = dgcs[:, c0 - J0 * W:c0 - J0 * W + w]
+            band[...] = at_rows
+            band[:, 1:] -= at_rows[:, :-1]
+            dgcs = dgcs.reshape(tI, tJ, W)
             gcs = carry.vec_col
             gcs[I0:I1 + 1, J0:J1 + 1] += dgcs
             gcs[I1 + 1:, J0:J1 + 1] += dgcs[-1][None, :, :]
+            # Region sums up to each tile corner -> GS deltas.
+            cs = at_rows[:, edge_cols]
             gs = carry.scal
             gs[I0:I1 + 1, J0:J1 + 1] += cs
             gs[I0:I1 + 1, J1 + 1:] += cs[:, -1:]
             gs[I1 + 1:, J0:J1 + 1] += cs[-1:, :]
             gs[I1 + 1:, J1 + 1:] += cs[-1, -1]
             if self._spec.name == "2R1W":
-                dcol = ts.cumsum(axis=0)
+                # Column-block sums down to each tile's bottom edge.
+                dcol = cs.copy()
+                dcol[:, 1:] -= cs[:, :-1]
                 carry.scal2[I0:I1 + 1, J0:J1 + 1] += dcol
                 carry.scal2[I1 + 1:, J0:J1 + 1] += dcol[-1:, :]
         repaired = (grid.tile_rows - I0) * (grid.tile_cols - J0)
@@ -510,10 +534,11 @@ def verify_state(inc: IncrementalSAT, *, check_sat: bool = True) -> list[str]:
 
     Returns a list of human-readable findings (empty = clean):
 
-    * every carry plane must equal its region-sum oracle on the *current*
-      working matrix (exact for integer accumulators; floats are held to the
-      proven rounding budget of :mod:`repro.analysis.tolerances` — the
-      oracles sum in a different order);
+    * every carry plane (2R1W's column chain ``GS-col`` included) must
+      equal its region-sum oracle on the *current* working matrix (exact
+      for integer accumulators; floats are held to the proven rounding
+      budget of :mod:`repro.analysis.tolerances` — the oracles sum in a
+      different order);
     * with ``check_sat=True``, the committed table must be **bit-identical**
       to a from-scratch wavefront computation of the current input.
     """
@@ -561,6 +586,9 @@ def verify_state(inc: IncrementalSAT, *, check_sat: bool = True) -> list[str]:
                                global_col_sums(work, grid, I, J)))
                 checks.append(("GS", planes["GS"][I, J],
                                global_sum(work, grid, I, J)))
+            if "GS-col" in planes:
+                checks.append(("GS-col", planes["GS-col"][I, J],
+                               global_col_sums(work, grid, I, J).sum()))
             for name, got, want in checks:
                 if not close(got, want):
                     findings.append(

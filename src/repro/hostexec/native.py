@@ -2,9 +2,12 @@
 with :mod:`ctypes`.
 
 The kernel makes the paper's 1R1W pass on the host: one read and one write
-per element, bit-identical to ``a.cumsum(0).cumsum(1)`` (see the comment at
-the top of ``native.c``).  It is instantiated for the accumulator dtypes in
-:data:`DTYPES`.
+per element, bit-identical to ``a.astype(acc).cumsum(0).cumsum(1)`` (see
+the comment at the top of ``native.c``).  It is instantiated for the
+``(input, accumulator)`` dtype pairs in :data:`PAIRS`: each accumulator
+dtype over itself, and the narrow integers the exact policy widens to
+``int64``, which the pass widens as it reads them.  :func:`sat_into` is the
+one entry point callers use: the kernel when it fits, else NumPy.
 
 Build and cache.  The first process that needs the kernel compiles it with
 the system C compiler (``$CC``, else ``cc``, ``gcc`` or ``clang``) using
@@ -18,8 +21,8 @@ warm path starts no subprocess.  Calls through :class:`ctypes.CDLL` release
 the GIL.
 
 Without a compiler (or a usable cache directory) :func:`kernel` returns
-``None`` after one :class:`RuntimeWarning`, and callers use NumPy's double
-cumsum, which gives the same bits.
+``None`` after one :class:`RuntimeWarning`, and :func:`sat_into` runs NumPy's
+double cumsum instead, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -41,8 +44,13 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "native.c")
 #: signed overflow wrap as NumPy's int64 arithmetic does.
 CFLAGS = ("-O3", "-ffp-contract=off", "-fwrapv", "-shared", "-fPIC")
 
-#: Accumulator dtypes the kernel is instantiated for (C symbol ``sat_<name>``).
-DTYPES = ("float32", "float64", "int64", "uint64")
+#: ``(input, accumulator)`` dtype pairs the kernel is instantiated for (C
+#: symbol ``sat_<input>_<accumulator>``).
+PAIRS = tuple((np.dtype(name), np.dtype(name))
+              for name in ("float32", "float64", "int64", "uint64")) \
+    + tuple((np.dtype(name), np.dtype("int64"))
+            for name in ("int8", "int16", "int32", "uint8", "uint16",
+                         "uint32"))
 
 
 class NativeUnavailable(RuntimeError):
@@ -50,35 +58,37 @@ class NativeUnavailable(RuntimeError):
 
 
 class NativeKernel:
-    """The loaded shared object, one typed entry point per dtype."""
+    """The loaded shared object, one typed entry point per dtype pair."""
 
     def __init__(self, path: str) -> None:
         self.path = path
         self._lib = ctypes.CDLL(path)
         self._fns = {}
-        for name in DTYPES:
-            fn = getattr(self._lib, f"sat_{name}")
+        for src, acc in PAIRS:
+            fn = getattr(self._lib, f"sat_{src.name}_{acc.name}")
             fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p,
                            ctypes.c_ssize_t, ctypes.c_ssize_t)
             fn.restype = ctypes.c_int
-            self._fns[np.dtype(name)] = fn
+            self._fns[src, acc] = fn
 
     def sat(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the SAT of ``a`` into ``out`` and return ``out``.
 
-        Both must be non-empty, 2-D, C-contiguous and of the same shape and
-        :data:`DTYPES` dtype.  ``out`` may be ``a`` itself (the pass then
-        runs in place) but must not otherwise overlap it.
+        Both must be non-empty, 2-D, C-contiguous and of the same shape, with
+        ``(a.dtype, out.dtype)`` in :data:`PAIRS`.  ``out`` may be ``a``
+        itself (the pass then runs in place) but must not otherwise overlap
+        it.
         """
-        fn = self._fns.get(a.dtype)
+        fn = self._fns.get((a.dtype, out.dtype))
         if fn is None or a.ndim != 2 or a.size == 0 \
-                or out.shape != a.shape or out.dtype != a.dtype \
+                or out.shape != a.shape \
                 or not a.flags.c_contiguous or not out.flags.c_contiguous \
                 or not out.flags.writeable:
             raise ValueError(
                 "the native kernel needs two non-empty C-contiguous 2-D "
-                f"arrays of one dtype in {DTYPES}, out writable; got "
-                f"{a.dtype}{a.shape} -> {out.dtype}{out.shape}")
+                "arrays of one shape and a dtype pair in PAIRS, out "
+                f"writable; got {a.dtype}{a.shape} -> "
+                f"{out.dtype}{out.shape}")
         if out is not a and np.may_share_memory(a, out):
             raise ValueError("out overlaps the input without being it")
         if fn(a.ctypes.data, out.ctypes.data, a.shape[0], a.shape[1]):
@@ -197,7 +207,25 @@ def kernel() -> NativeKernel | None:
                     _failure = exc
                     warnings.warn(
                         f"the native SAT kernel is unavailable ({exc}); "
-                        "engine='parallel' uses NumPy's double cumsum "
-                        "instead (same results, several times slower)",
+                        "engine='parallel' and incremental delta repair use "
+                        "NumPy's double cumsum instead (same results, "
+                        "several times slower)",
                         RuntimeWarning, stacklevel=3)
     return _kernel
+
+
+def sat_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the SAT of the 2-D ``a`` into ``out`` (same shape, accumulator
+    dtype) and return ``out``; ``out`` may be ``a`` itself.
+
+    One kernel pass when ``(a.dtype, out.dtype)`` is in :data:`PAIRS`, both
+    are C-contiguous and non-empty, and the kernel loads; otherwise NumPy's
+    double cumsum in ``out``'s dtype, which gives the same bits.
+    """
+    if (a.dtype, out.dtype) in PAIRS and a.size and a.flags.c_contiguous \
+            and out.flags.c_contiguous:
+        k = kernel()
+        if k is not None:
+            return k.sat(a, out)
+    np.cumsum(a, axis=0, dtype=out.dtype, out=out)
+    return np.cumsum(out, axis=1, out=out)

@@ -9,16 +9,17 @@ Its association is that of ``a.cumsum(0).cumsum(1)``, so results are
 bit-identical to :func:`repro.sat.sat_reference` in the accumulator dtype
 (integer wraparound, NaN/Inf propagation and signed zeros included).
 
-Memory: an input already in the accumulator dtype and in C order is read in
-place and the SAT written to a fresh buffer.  Any other input
-is cast once by the shared plan glue
+Memory: a C-order input the kernel reads directly (its accumulator dtype,
+or a narrow integer the exact policy widens to ``int64``; see
+:data:`repro.hostexec.native.PAIRS`) is read in place and the SAT written
+to a fresh buffer.  Any other input is cast once by the shared plan glue
 (:func:`repro.backend.plan.prepare_input`) and the pass runs in place on
 that copy, so a call holds one accumulator-sized buffer either way.
 
 Accumulator dtypes the kernel is not instantiated for (fixed policies such
 as ``int32``), and hosts where it cannot be built (no C compiler; one
-``RuntimeWarning``), take an in-place NumPy double cumsum instead, which
-gives the same bits.
+``RuntimeWarning``), take NumPy's double cumsum instead
+(:func:`repro.hostexec.native.sat_into`), which gives the same bits.
 
 ``workers`` is validated and otherwise unused: a two-band threaded split of
 the same kernel measured slower than the single pass at 768², 2048² and
@@ -54,14 +55,12 @@ def parallel_sat(a: np.ndarray, *, workers: int | None = None,
     if workers is not None and workers <= 0:
         raise ConfigurationError("workers must be positive")
     acc = resolve_policy(dtype_policy).accumulator(a.dtype)
-    work, copied = prepare_input(a, acc_dtype=acc)
-    out = work if copied else np.empty_like(work)
-    kernel = native.kernel() if acc.name in native.DTYPES and work.size \
-        else None
-    if kernel is not None:
-        return kernel.sat(work, out)
-    np.cumsum(work, axis=0, out=out)
-    return np.cumsum(out, axis=1, out=out)
+    if (a.dtype, acc) in native.PAIRS and a.flags.c_contiguous:
+        work, copied = a, False
+    else:
+        work, copied = prepare_input(a, acc_dtype=acc)
+    return native.sat_into(work, work if copied else
+                           np.empty(work.shape, dtype=acc))
 
 
 class ParallelSATEngine:

@@ -6,9 +6,106 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import box_filter, box_filter_direct, window_areas
+from repro.apps.box_filter import window_sums_from_sat
 from repro.apps.synthetic import gaussian_blobs, gradient_image
 from repro.errors import ConfigurationError
 from repro.gpusim import GPU
+
+
+def _gather_bounds(rows, cols, radius):
+    ii = np.arange(rows)[:, None]
+    jj = np.arange(cols)[None, :]
+    return tuple(np.broadcast_to(b, (rows, cols)) for b in (
+        np.maximum(ii - radius, 0), np.minimum(ii + radius, rows - 1),
+        np.maximum(jj - radius, 0), np.minimum(jj + radius, cols - 1)))
+
+
+def gather_window_sums(sat, radius):
+    """Oracle: the four-corner formula as 2-D gathers and masked updates,
+    each corner term applied only where that corner lies inside the SAT."""
+    rows, cols = sat.shape
+    top, bottom, left, right = _gather_bounds(rows, cols, radius)
+    acc = (np.result_type(sat.dtype, np.int64)
+           if np.issubdtype(sat.dtype, np.integer) else sat.dtype)
+    total = sat[bottom, right].astype(acc, copy=True)
+    m = top > 0
+    total[m] -= sat[top[m] - 1, right[m]]
+    m = left > 0
+    total[m] -= sat[bottom[m], left[m] - 1]
+    m = (top > 0) & (left > 0)
+    total[m] += sat[top[m] - 1, left[m] - 1]
+    return total
+
+
+def gather_window_areas(rows, cols, radius):
+    top, bottom, left, right = _gather_bounds(rows, cols, radius)
+    return ((bottom - top + 1) * (right - left + 1)).astype(np.float64)
+
+
+class TestWindowSums:
+    """The slice form is bit-identical to the gather-and-mask formula."""
+
+    SHAPES = ((1, 1), (1, 17), (17, 1), (9, 14), (33, 20), (0, 0), (0, 6),
+              (6, 0))
+    RADII = (0, 1, 3, 16, 40)   # 16 and 40 reach past every edge of some
+
+    @staticmethod
+    def _sat(shape, dtype, seed):
+        rng = np.random.default_rng(seed)
+        if np.dtype(dtype).kind == "f":
+            a = (rng.standard_normal(shape) * 10).astype(dtype)
+            a[rng.random(shape) < 0.3] = -0.0
+            sat = a.cumsum(0).cumsum(1)
+            sat[rng.random(shape) < 0.2] = -0.0     # signed zeros in the SAT
+            return sat
+        return rng.integers(-100, 100, size=shape).astype(dtype) \
+            .cumsum(0).cumsum(1).astype(dtype)
+
+    @pytest.mark.parametrize("radius", RADII)
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("dtype", ["int64", "float32", "float64"])
+    def test_matches_gather_formula(self, dtype, shape, radius):
+        sat = self._sat(shape, dtype, seed=radius)
+        got = window_sums_from_sat(sat, radius)
+        want = gather_window_sums(sat, radius)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_all_negative_zero_keeps_its_sign(self):
+        sat = np.full((5, 7), -0.0)
+        got = window_sums_from_sat(sat, 1)
+        # Windows whose top and left are clamped at the border subtract and
+        # add nothing, so their -0.0 survives.
+        assert np.signbit(got[:2, :2]).all()
+        assert np.array_equal(np.signbit(got),
+                              np.signbit(gather_window_sums(sat, 1)))
+
+    def test_narrow_integer_sat_widens(self):
+        sat = self._sat((12, 10), "int32", seed=1)
+        got = window_sums_from_sat(sat, 2)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, gather_window_sums(sat, 2))
+
+    def test_does_not_modify_a_read_only_sat(self):
+        sat = self._sat((20, 30), "int64", seed=2)
+        sat.setflags(write=False)
+        assert np.array_equal(window_sums_from_sat(sat, 3),
+                              gather_window_sums(sat, 3))
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ConfigurationError):
+            window_sums_from_sat(np.zeros((4, 4)), -1)
+        with pytest.raises(ConfigurationError):
+            window_sums_from_sat(np.zeros((0, 0)), -1)
+
+    @pytest.mark.parametrize("radius", RADII)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_window_areas_match_broadcast_form(self, shape, radius):
+        got = window_areas(*shape, radius)
+        want = gather_window_areas(*shape, radius)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestBoxFilter:

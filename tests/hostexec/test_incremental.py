@@ -7,11 +7,13 @@ accumulator dtype against the same serial tile algebra), for every
 algorithm, strategy, dtype, tile width, ragged shape and worker count.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hostexec import WavefrontEngine
+from repro.hostexec import WavefrontEngine, native
 from repro.hostexec.incremental import (IncrementalSAT, repair_benchmark,
                                         sanitize_incremental, verify_state)
 from repro.sat import compute_sat, incremental_sat
@@ -322,6 +324,71 @@ class TestStateAndAPI:
 
     def test_sanitize_hook_clean(self):
         assert sanitize_incremental(n=64, edits=2) == []
+
+
+class TestDeltaRepair:
+    """The delta strategy's native SAT(d) pass and the carries sampled from
+    it, on every algorithm's carry family."""
+
+    SHAPE = (70, 75)    # ragged last tile row and column at W = 8 and 32
+
+    @pytest.mark.parametrize("tile_width", [8, 32])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_full_frame_advance_and_ragged_edits(self, rng, algorithm,
+                                                 tile_width):
+        rows, cols = self.SHAPE
+        a = rng.integers(0, 200, size=self.SHAPE, dtype=np.uint8)
+        with IncrementalSAT(a, algorithm=algorithm,
+                            tile_width=tile_width) as inc:
+            assert inc.strategy == "delta"
+            cur = a.astype(inc.dtype)
+            cut = rng.integers(0, 200, size=self.SHAPE, dtype=np.uint8)
+            got = inc.advance(cut)      # a scene cut: the whole frame moves
+            cur[...] = cut
+            assert np.array_equal(got, _reference(inc, cur))
+            assert verify_state(inc) == []
+            edits = [(rows - 1, 0, (1, cols)),      # last row, full width
+                     (rows - 1, cols - 5, (1, 5)),  # last row, ragged corner
+                     (0, cols - 1, (rows, 1)),      # last column, full height
+                     (rows - 3, cols - 1, (3, 1))]  # last column, ragged
+            for top, left, shape in edits:
+                vals = rng.integers(-50, 50, size=shape)
+                got = inc.update(top, left, vals)
+                cur[top:top + shape[0], left:left + shape[1]] = vals
+                assert np.array_equal(got, _reference(inc, cur))
+                assert verify_state(inc) == []
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_numpy_fallback_gives_the_same_bits(self, rng, monkeypatch,
+                                                algorithm):
+        a = rng.integers(0, 200, size=self.SHAPE, dtype=np.uint8)
+        cut = rng.integers(0, 200, size=self.SHAPE, dtype=np.uint8)
+        edit = rng.integers(-50, 50, size=(9, 30))
+
+        def repaired():
+            with IncrementalSAT(a, algorithm=algorithm, tile_width=8) as inc:
+                inc.advance(cut)
+                inc.update(61, 45, edit)
+                return inc.sat.copy(), {k: v.copy() for k, v in
+                                        inc.carry_planes().items()}
+
+        with_kernel = repaired()
+
+        def unavailable(*args, **kwargs):
+            raise native.NativeUnavailable("no C compiler found")
+        monkeypatch.setattr(native, "_kernel", None)
+        monkeypatch.setattr(native, "_failure", None)
+        monkeypatch.setattr(native, "load", unavailable)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            without = repaired()
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "native SAT kernel is unavailable" in str(caught[0].message)
+        assert np.array_equal(without[0], with_kernel[0])
+        assert without[0].dtype == with_kernel[0].dtype
+        assert without[1].keys() == with_kernel[1].keys()
+        for name, plane in with_kernel[1].items():
+            assert np.array_equal(without[1][name], plane), name
 
 
 class TestRepairBenchmark:

@@ -25,8 +25,8 @@ from repro.sat.registry import compute_sat
 needs_compiler = pytest.mark.skipif(native._compiler() is None,
                                     reason="no C compiler on this host")
 
-DTYPES = ("uint8", "int32", "int64", "uint64", "float16", "float32",
-          "float64")
+DTYPES = ("int8", "int16", "int32", "uint8", "uint16", "uint32", "int64",
+          "uint64", "float16", "float32", "float64")
 SHAPES = ((1, 1), (1, 37), (37, 1), (4, 4), (5, 7), (6, 3), (7, 9),
           (33, 17), (66, 130))
 
@@ -112,6 +112,29 @@ def test_signed_zeros(dtype):
 
 
 @needs_compiler
+@pytest.mark.parametrize("pair", native.PAIRS,
+                         ids=lambda p: f"{p[0].name}->{p[1].name}")
+def test_every_entry_point_matches_double_cumsum(pair):
+    src, acc = pair
+    kernel = native.load()
+    for shape in SHAPES:
+        a = random_matrix(shape, src, seed=shape[0])
+        with np.errstate(over="ignore"):
+            want = a.astype(acc).cumsum(0).cumsum(1)
+        assert_same_bits(kernel.sat(a, np.empty(shape, dtype=acc)), want)
+
+
+@needs_compiler
+def test_widening_entry_point_rejects_a_mismatched_pair():
+    kernel = native.load()
+    a = random_matrix((5, 4), "uint8")
+    with pytest.raises(ValueError, match="dtype pair"):
+        kernel.sat(a, np.empty((5, 4), dtype=np.uint64))
+    with pytest.raises(ValueError, match="dtype pair"):
+        kernel.sat(a, np.empty((4, 5), dtype=np.int64))
+
+
+@needs_compiler
 def test_kernel_runs_in_place_and_rejects_partial_overlap():
     a = random_matrix((13, 9), "float64", seed=3)
     want = oracle(a)
@@ -157,13 +180,14 @@ def test_parallel_runs_the_kernel(monkeypatch):
     original = native.NativeKernel.sat
 
     def counting_sat(self, a, out):
-        calls.append(a.dtype)
+        calls.append((a.dtype.name, out.dtype.name))
         return original(self, a, out)
     monkeypatch.setattr(native.NativeKernel, "sat", counting_sat)
     for dtype in ("uint8", "float32"):
         a = random_matrix((8, 8), dtype)
         assert_same_bits(parallel(a), oracle(a))
-    assert calls == [np.dtype("int64"), np.dtype("float32")]
+    # The uint8 input is read directly: no widened int64 copy first.
+    assert calls == [("uint8", "int64"), ("float32", "float32")]
 
 
 @needs_compiler
